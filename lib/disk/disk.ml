@@ -176,38 +176,50 @@ let read_sync t ~sector ~count =
   done;
   out
 
-let write_sync t ~sector data =
-  let data, count = pad_to_sectors data in
+(* A synchronous write of [count] sectors, cut into granules of [granule]
+   sectors, in which [known_zero g] says the caller knows granule [g] is
+   all zeros. Simulated behaviour is that of writing the whole buffer —
+   one request, same schedule, same trace events, counters and completion
+   callback — and only the host side differs: runs of known-zero granules
+   are committed by sweeping the store's [nonzero] bitmap, and [data] is
+   read only in the other granules, so a caller may leave those stretches
+   of its buffer unfilled. The swap dump uses this, a page per granule,
+   for the all-zero pages of the memory image. *)
+let write_sync_sparse t ~sector ~count ~granule ~known_zero data =
   check_range t sector count;
+  if granule <= 0 then invalid_arg "Disk.write_sync_sparse: granule must be positive";
+  if Bytes.length data < count * sector_bytes then
+    invalid_arg "Disk.write_sync_sparse: buffer shorter than count sectors";
   let issued = Engine.now t.engine in
   let _, completion = schedule_request t sector count in
   note_request t ~sector ~count ~write:true ~sync:true ~issued ~completion;
   Engine.advance_to t.engine completion;
   t.writes <- t.writes + 1;
   t.sectors_written <- t.sectors_written + count;
-  for i = 0 to count - 1 do
-    Store.commit_from t.store ~sector:(sector + i) data ~pos:(i * sector_bytes)
+  let run = ref (-1) in (* first sector of the pending known-zero run *)
+  let end_run upto =
+    if !run >= 0 then begin
+      Store.commit_zeros t.store ~sector:(sector + !run) ~count:(upto - !run);
+      run := -1
+    end
+  in
+  for g = 0 to ((count + granule - 1) / granule) - 1 do
+    let first = g * granule in
+    if known_zero g then (if !run < 0 then run := first)
+    else begin
+      end_run first;
+      for i = first to min count (first + granule) - 1 do
+        Store.commit_from t.store ~sector:(sector + i) data ~pos:(i * sector_bytes)
+      done
+    end
   done;
+  end_run count;
   t.on_complete ~sector ~count ~write:true
 
-(* Write [count] sectors of zeros without materializing a payload buffer.
-   Simulated behaviour is identical to [write_sync] with an all-zero
-   buffer of the same length — same schedule, same trace events, same
-   counters, same completion callback — only the host-side commit
-   differs: instead of probing the store per sector it sweeps the
-   [nonzero] bitmap and drops whatever entries the range still holds.
-   The swap dump uses this for the (typically vast) all-zero stretches
-   of the memory image. *)
-let write_zeros_sync t ~sector ~count =
-  check_range t sector count;
-  let issued = Engine.now t.engine in
-  let _, completion = schedule_request t sector count in
-  note_request t ~sector ~count ~write:true ~sync:true ~issued ~completion;
-  Engine.advance_to t.engine completion;
-  t.writes <- t.writes + 1;
-  t.sectors_written <- t.sectors_written + count;
-  Store.commit_zeros t.store ~sector ~count;
-  t.on_complete ~sector ~count ~write:true
+let write_sync t ~sector data =
+  let data, count = pad_to_sectors data in
+  (* [max 1]: an empty buffer is a zero-sector request, as it always was. *)
+  write_sync_sparse t ~sector ~count ~granule:(max 1 count) ~known_zero:(fun _ -> false) data
 
 let max_queue_depth = 32
 

@@ -70,12 +70,18 @@ val write_sync : t -> sector:int -> bytes -> unit
     of sectors); the clock advances to completion — data is then
     crash-safe. *)
 
-val write_zeros_sync : t -> sector:int -> count:int -> unit
-(** [write_sync] of [count] sectors of zeros, without the buffer:
-    identical simulated timing, trace events, statistics, and completion
-    callback; the host-side commit just drops any stored entries in the
-    range (absent sectors read as zeros). The warm-reboot swap dump uses
-    this for chunks the memory snapshot proves are all-zero. *)
+val write_sync_sparse :
+  t -> sector:int -> count:int -> granule:int -> known_zero:(int -> bool) -> bytes -> unit
+(** [write_sync] of [count] sectors, cut into granules of [granule] sectors
+    (the last may be shorter), where the caller knows that every granule
+    [g] with [known_zero g] is all zeros: identical simulated timing, trace
+    events, statistics and completion callback to writing the whole
+    buffer, but [data] is read only in the other granules, and runs of
+    known-zero granules are committed by dropping any stored entries in
+    them (absent sectors read as zeros). [data] must hold at least [count]
+    sectors. The warm-reboot swap dump uses this, a page per granule, to
+    write the pages a memory snapshot proves are all-zero without copying
+    them. *)
 
 val write_async : t -> sector:int -> bytes -> unit
 (** Queue a write and return immediately. The data commits to the platter

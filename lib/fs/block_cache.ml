@@ -185,20 +185,25 @@ let flush_dirty ?via t ~sync ?(only = fun _ -> true) () =
      pass, so a clean cache must not pay a full-table walk. *)
   if t.ndirty = 0 then 0
   else begin
-    let before = t.ndirty in
-    let flushed = ref 0 in
     let dirty = ref [] in
     Hashtbl.iter (fun _ e -> if e.dirty && only e then dirty := e :: !dirty) t.table;
     (* Deterministic order: by block number. *)
     let sorted = List.sort (fun a b -> compare a.blkno b.blkno) !dirty in
-    List.iter
-      (fun e ->
-        write_back ?via t e ~sync;
-        incr flushed)
-      sorted;
-    (* Each write_back retired exactly one dirty entry from the count. *)
-    assert (t.ndirty = before - !flushed);
-    !flushed
+    (* A synchronous write-back advances the engine, so the update daemon
+       can run nested inside this loop and clean (or evict) entries still
+       waiting their turn here: skip those rather than write them twice. *)
+    let flushed =
+      List.fold_left
+        (fun n e ->
+          if e.dirty then begin
+            write_back ?via t e ~sync;
+            n + 1
+          end
+          else n)
+        0 sorted
+    in
+    assert (t.ndirty = Hashtbl.fold (fun _ e n -> if e.dirty then n + 1 else n) t.table 0);
+    flushed
   end
 
 let invalidate t ~blkno =

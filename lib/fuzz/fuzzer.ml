@@ -367,15 +367,24 @@ let shrink ~spec ~world_seed ~ops ~ordinal =
     incr attempts;
     decr budget
   in
+  (* A candidate the file system accepts can still be one the model
+     rejects (an overwrite past the end of a file whose growing op was
+     dropped): validate against the model first, as the task path does. *)
+  let attempt ops ~trip =
+    (match Gen.Model.after ~root:Program.root ops with
+    | (_ : Gen.Model.t) -> ()
+    | exception Not_found -> raise Invalid_program);
+    run_attempt ~spec ~seed:world_seed ~ops ~trip ()
+  in
   let count ops =
     spend ();
-    match run_attempt ~spec ~seed:world_seed ~ops ~trip:(-1) () with
+    match attempt ops ~trip:(-1) with
     | a -> Some a
     | exception Invalid_program -> None
   in
   let fails ops r =
     spend ();
-    match run_attempt ~spec ~seed:world_seed ~ops ~trip:r () with
+    match attempt ops ~trip:r with
     | a -> a.crashed_during <> None && a.problems <> []
     | exception Invalid_program -> false
   in

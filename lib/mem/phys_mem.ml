@@ -398,13 +398,24 @@ let snap_blit_out t s addr ~len =
   snap_blit_into t s addr b ~pos:0 ~len;
   b
 
+(* Where page [pfn]'s snapshot-time bytes live: its saved pre-image, or
+   live memory while the page is untouched since the snapshot. *)
+let snap_page t s pfn =
+  check_owner t s "snap_page";
+  if pfn < 0 || pfn >= page_count t then invalid_arg "Phys_mem.snap_page: frame out of range";
+  match Hashtbl.find_opt s.saved pfn with
+  | Some pre -> (pre, 0)
+  | None -> (t.data, pfn * page_size)
+
 (* Whether the snapshot-time content of page [pfn] is known to be all
    zeroes: the page had never been written at snapshot time and has not
    been COW-saved since (version 0 pages still hold their created
-   zeroes). *)
+   zeroes). A COW save happens only in [touch_page], which also bumps the
+   version, so a version-0 page has never been saved: the version alone
+   decides. *)
 let snap_page_is_zero t s pfn =
   check_owner t s "snap_page_is_zero";
-  (not (Hashtbl.mem s.saved pfn)) && t.version.(pfn) = 0
+  t.version.(pfn) = 0
 
 let snap_checksum_range t s addr ~len =
   check_owner t s "snap_checksum_range";

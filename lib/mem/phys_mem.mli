@@ -150,8 +150,8 @@ val snapshot : t -> snapshot
 
 val release : t -> snapshot -> unit
 (** Stop tracking writes for this snapshot (its saved pages remain
-    readable but no longer grow). Restoring a released snapshot is a
-    programming error. *)
+    readable but no longer grow). Releasing twice is harmless; restoring a
+    released snapshot is a programming error. *)
 
 val restore : t -> snapshot -> unit
 (** Write the pre-images back: memory returns to its snapshot-time
@@ -171,6 +171,13 @@ val snap_blit_into : t -> snapshot -> paddr -> bytes -> pos:int -> len:int -> un
 
 val snap_blit_out : t -> snapshot -> paddr -> len:int -> bytes
 (** Allocating variant of {!snap_blit_into}. *)
+
+val snap_page : t -> snapshot -> int -> bytes * int
+(** [snap_page t s pfn] is [(buf, off)] such that frame [pfn]'s bytes as
+    they were at snapshot time are [buf\[off, off + page_size)]: the saved
+    pre-image, or live memory while the page is untouched. For reading
+    only, and only until the next write to memory — lets a scan load
+    words straight from the snapshot instead of copying the range out. *)
 
 val snap_page_is_zero : t -> snapshot -> int -> bool
 (** Whether frame [pfn] was provably all-zero at snapshot time (never

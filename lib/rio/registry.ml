@@ -211,19 +211,73 @@ let plausible ~mem_bytes e =
   && e.blkno >= 0
   && e.blkno < 1 lsl 28
 
+(* Fold one decoded slot into the parse: free slots vanish, implausible
+   entries count as corrupt. *)
+let tally ~mem_bytes entries corrupt = function
+  | `Free -> ()
+  | `Corrupt -> incr corrupt
+  | `Entry e -> if plausible ~mem_bytes e then entries := e :: !entries else incr corrupt
+
 let parse_base ~buf ~base ~region ~mem_bytes =
   let capacity = region.Layout.bytes / entry_bytes in
   let entries = ref [] in
   let corrupt = ref 0 in
   for slot = 0 to capacity - 1 do
-    match read_slot_image buf base slot with
-    | `Free -> ()
-    | `Corrupt -> incr corrupt
-    | `Entry e -> if plausible ~mem_bytes e then entries := e :: !entries else incr corrupt
+    tally ~mem_bytes entries corrupt (read_slot_image buf base slot)
   done;
   { entries = List.rev !entries; corrupt_slots = !corrupt }
 
 let parse_image ~image ~region ~mem_bytes =
   parse_base ~buf:image ~base:region.Layout.base ~region ~mem_bytes
 
-let parse_slice ~slice ~region ~mem_bytes = parse_base ~buf:slice ~base:0 ~region ~mem_bytes
+external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* The same scan as [parse_image], read straight from the snapshot's pages.
+   A slot lying within one page is free when five 64-bit loads from that
+   page are all zero. Non-free slots, and the few that straddle two pages,
+   are gathered into a scratch slot and decoded like an image slot. *)
+let parse_snapshot ~mem ~snap ~region =
+  let mem_bytes = Phys_mem.size mem in
+  let capacity = region.Layout.bytes / entry_bytes in
+  let scratch = Bytes.create entry_bytes in
+  (* Copy the slot at [a] into [scratch], one piece per page it spans. *)
+  let rec gather a pos =
+    if pos < entry_bytes then begin
+      let buf, off = Phys_mem.snap_page mem snap (a / Phys_mem.page_size) in
+      let in_page = a mod Phys_mem.page_size in
+      let n = min (entry_bytes - pos) (Phys_mem.page_size - in_page) in
+      Bytes.blit buf (off + in_page) scratch pos n;
+      gather (a + n) (pos + n)
+    end
+  in
+  let entries = ref [] in
+  let corrupt = ref 0 in
+  let cur_pfn = ref (-1) and cur_buf = ref Bytes.empty and cur_off = ref 0 in
+  for slot = 0 to capacity - 1 do
+    let a = region.Layout.base + (slot * entry_bytes) in
+    let pfn = a / Phys_mem.page_size in
+    if pfn <> !cur_pfn then begin
+      let buf, off = Phys_mem.snap_page mem snap pfn in
+      cur_pfn := pfn;
+      cur_buf := buf;
+      cur_off := off
+    end;
+    let within = (a + entry_bytes - 1) / Phys_mem.page_size = pfn in
+    let free =
+      within
+      &&
+      (* In bounds: the slot ends inside the page [snap_page] located. *)
+      let b = !cur_buf and p = !cur_off + (a mod Phys_mem.page_size) in
+      Int64.logor
+        (Int64.logor (unsafe_get64 b p) (unsafe_get64 b (p + 8)))
+        (Int64.logor
+           (Int64.logor (unsafe_get64 b (p + 16)) (unsafe_get64 b (p + 24)))
+           (unsafe_get64 b (p + 32)))
+      = 0L
+    in
+    if not free then begin
+      gather a 0;
+      tally ~mem_bytes entries corrupt (read_slot_image scratch 0 0)
+    end
+  done;
+  { entries = List.rev !entries; corrupt_slots = !corrupt }

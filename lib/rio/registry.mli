@@ -110,9 +110,13 @@ val parse_image : image:bytes -> region:Rio_mem.Layout.region -> mem_bytes:int -
 (** Recover entries from a raw memory dump, validating every field against
     the machine's geometry with {!plausible}. *)
 
-val parse_slice : slice:bytes -> region:Rio_mem.Layout.region -> mem_bytes:int -> parse_result
-(** Like {!parse_image}, but [slice] holds just the registry region's
-    bytes (slot 0 at offset 0) rather than a full-memory image — so the
-    fast warm reboot can parse from a copy-on-write snapshot without
-    materializing the 16 MB dump. [mem_bytes] remains the machine's
-    memory size, for {!plausible}. *)
+val parse_snapshot :
+  mem:Rio_mem.Phys_mem.t ->
+  snap:Rio_mem.Phys_mem.snapshot ->
+  region:Rio_mem.Layout.region ->
+  parse_result
+(** {!parse_image} of memory as it was at [snap], without materializing
+    the dump: a slot's free test is five 64-bit loads straight from the
+    snapshot's pages, and only non-free slots (and those straddling two
+    pages) are copied out and decoded. The fast warm reboot parses this
+    way; the result equals [parse_image] of the full image. *)

@@ -59,14 +59,6 @@ let read_superblock_opt disk =
 
 let dump_chunk = 128 * 1024
 
-(* Whether every page overlapping [pos, pos+n) was provably all-zero at
-   snapshot time (never written, not COW-saved) — such chunks can be
-   written from a shared zero buffer without reading the view. *)
-let chunk_is_zero vmem snap pos n =
-  let first = pos / Phys_mem.page_size and last = (pos + n - 1) / Phys_mem.page_size in
-  let rec go pfn = pfn > last || (Phys_mem.snap_page_is_zero vmem snap pfn && go (pfn + 1)) in
-  go first
-
 let dump_to_swap_view ~disk ~view =
   match read_superblock_opt disk with
   | None -> (0, view_size view)
@@ -75,37 +67,51 @@ let dump_to_swap_view ~disk ~view =
     let len = min (view_size view) swap_bytes in
     (* Stream in 128 KB synchronous chunks — one long sequential write.
        Every chunk is written on both paths (same sectors, same lengths,
-       same simulated time); the fast path reuses one scratch buffer, and
-       chunks the snapshot proves are all-zero skip both the read and the
-       payload entirely ({!Disk.write_zeros_sync} has identical timing,
-       events, and statistics to a zero-buffer [write_sync]). *)
+       same simulated time). The fast path reuses one scratch buffer and
+       copies into it only the pages the snapshot cannot prove all-zero;
+       the rest are committed as zeros by {!Disk.write_sync_sparse}
+       without being read. *)
     let buf = Bytes.create (min dump_chunk (max 1 len)) in
+    let zero_pages = Array.make (dump_chunk / Phys_mem.page_size) false in
+    let known_zero k = zero_pages.(k) in
     let pos = ref 0 in
     while !pos < len do
       let n = min dump_chunk (len - !pos) in
       let sector = sb.Ondisk.swap_start + (!pos / Disk.sector_bytes) in
       (match view with
-      | Snap_view { vmem; snap } when n = dump_chunk && chunk_is_zero vmem snap !pos n ->
-        Disk.write_zeros_sync disk ~sector ~count:(n / Disk.sector_bytes)
-      | _ ->
+      | Full_image image ->
         let b = if n = Bytes.length buf then buf else Bytes.create n in
-        (match view with
-        | Full_image image -> Bytes.blit image !pos b 0 n
-        | Snap_view { vmem; snap } -> Phys_mem.snap_blit_into vmem snap !pos b ~pos:0 ~len:n);
-        Disk.write_sync disk ~sector b);
+        Bytes.blit image !pos b 0 n;
+        Disk.write_sync disk ~sector b
+      | Snap_view { vmem; snap } ->
+        (* Chunks start page-aligned; only a swap partition that is not
+           whole pages can end the last one mid-page. *)
+        let first = !pos / Phys_mem.page_size in
+        for k = 0 to ((n + Phys_mem.page_size - 1) / Phys_mem.page_size) - 1 do
+          let zero = Phys_mem.snap_page_is_zero vmem snap (first + k) in
+          zero_pages.(k) <- zero;
+          if not zero then
+            Phys_mem.snap_blit_into vmem snap
+              (Phys_mem.page_base (first + k))
+              buf ~pos:(k * Phys_mem.page_size)
+              ~len:(min Phys_mem.page_size (n - (k * Phys_mem.page_size)))
+        done;
+        Disk.write_sync_sparse disk ~sector ~count:(n / Disk.sector_bytes)
+          ~granule:(Phys_mem.page_size / Disk.sector_bytes) ~known_zero buf);
       pos := !pos + n
     done;
     (len, view_size view - len)
 
 let dump_to_swap ~disk ~image = dump_to_swap_view ~disk ~view:(Full_image image)
 
+let dump_snapshot_to_swap ~disk ~mem ~snap =
+  dump_to_swap_view ~disk ~view:(Snap_view { vmem = mem; snap })
+
 let parse_registry_view ~view ~layout =
   let region = Layout.region layout Layout.Registry in
   match view with
   | Full_image image -> Registry.parse_image ~image ~region ~mem_bytes:(Bytes.length image)
-  | Snap_view { vmem; snap } ->
-    let slice = Phys_mem.snap_blit_out vmem snap region.Layout.base ~len:region.Layout.bytes in
-    Registry.parse_slice ~slice ~region ~mem_bytes:(Phys_mem.size vmem)
+  | Snap_view { vmem; snap } -> Registry.parse_snapshot ~mem:vmem ~snap ~region
 
 let parse_registry ~image ~layout = parse_registry_view ~view:(Full_image image) ~layout
 
@@ -159,20 +165,26 @@ let restore_metadata_view ~disk ~view entries =
 let restore_metadata ~disk ~image entries =
   restore_metadata_view ~disk ~view:(Full_image image) entries
 
-let restore_data_view ~fs ~view entries =
+(* Each data entry with its crash-time bytes. [perform] reads them before
+   the reboot, so it can release the crash snapshot first and the boot
+   writes pay no copy-on-write into it. *)
+let data_images_view ~view entries = List.map (fun e -> (e, entry_image_view view e)) entries
+
+let restore_data_images ~fs images =
   let restored = ref 0 and failed = ref 0 in
   List.iter
-    (fun (e : Registry.entry) ->
-      match entry_image_view view e with
+    (fun ((e : Registry.entry), image) ->
+      match image with
       | None -> incr failed
       | Some bytes ->
         (match Fs.write_by_ino fs ~ino:e.Registry.ino ~offset:e.Registry.offset bytes with
         | () -> incr restored
         | exception Rio_fs.Fs_types.Fs_error _ -> incr failed))
-    entries;
+    images;
   (!restored, !failed)
 
-let restore_data ~fs ~image entries = restore_data_view ~fs ~view:(Full_image image) entries
+let restore_data ~fs ~image entries =
+  restore_data_images ~fs (data_images_view ~view:(Full_image image) entries)
 
 let perform ~mem ~disk ~layout ~engine ~reboot =
   (* The fast/reference choice rides the global {!Rio_util.Fastpath} knob
@@ -197,11 +209,14 @@ let perform ~mem ~disk ~layout ~engine ~reboot =
         if fast then Snap_view { vmem = mem; snap = Phys_mem.snapshot mem }
         else Full_image (capture mem))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match view with
-      | Snap_view { vmem; snap } -> Phys_mem.release vmem snap
-      | Full_image _ -> ())
+  (* Called early, before the reboot, and again on the way out;
+     releasing a snapshot twice is harmless. *)
+  let release_view () =
+    match view with
+    | Snap_view { vmem; snap } -> Phys_mem.release vmem snap
+    | Full_image _ -> ()
+  in
+  Fun.protect ~finally:release_view
     (fun () ->
       let swap_dumped_bytes, swap_truncated_bytes =
         phase "warm-reboot: dump to swap" (fun () -> dump_to_swap_view ~disk ~view)
@@ -222,11 +237,17 @@ let perform ~mem ~disk ~layout ~engine ~reboot =
             restore_metadata_view ~disk ~view meta_entries)
       in
       let fsck = phase "warm-reboot: fsck" (fun () -> Fsck.run ~disk) in
+      (* The view is done with once the data images are out: the reboot
+         rewrites kernel text, heap, registry and cache pages. *)
+      let data_images =
+        if fsck.Fsck.unrecoverable then [] else data_images_view ~view data_entries
+      in
+      release_view ();
       let fs = phase "warm-reboot: reboot" (fun () -> reboot ()) in
       let data_restored, data_failed =
         phase "warm-reboot: restore data" (fun () ->
             if fsck.Fsck.unrecoverable then (0, List.length data_entries)
-            else restore_data_view ~fs ~view data_entries)
+            else restore_data_images ~fs data_images)
       in
       {
         registry_entries = List.length parsed.Registry.entries;

@@ -59,6 +59,14 @@ val dump_to_swap : disk:Rio_disk.Disk.t -> image:bytes -> int * int
     skipped entirely — [(0, length image)] — if the superblock is
     unreadable (the volume is lost anyway). *)
 
+val dump_snapshot_to_swap :
+  disk:Rio_disk.Disk.t -> mem:Rio_mem.Phys_mem.t -> snap:Rio_mem.Phys_mem.snapshot -> int * int
+(** {!dump_to_swap} of memory as it was at [snap], as {!perform}'s fast
+    path dumps it: the same 128 KB requests, but only the pages the
+    snapshot cannot prove all-zero are copied, the rest committed as zeros
+    by {!Rio_disk.Disk.write_sync_sparse}. Swap contents, disk statistics
+    and simulated time equal those of dumping the full image. *)
+
 val parse_registry :
   image:bytes -> layout:Rio_mem.Layout.t -> Registry.parse_result
 
@@ -86,7 +94,8 @@ val perform :
     return a freshly mounted Rio file system.
 
     When {!Rio_util.Fastpath.on} (the default), the crash image is a
-    copy-on-write snapshot rather than a full dump, and the swap dump
-    streams through a reused buffer with an all-zero-page shortcut —
+    copy-on-write snapshot rather than a full dump, the swap dump copies
+    only the pages not provably all-zero, and the registry is parsed
+    straight from the snapshot's pages —
     every simulated disk write (and hence simulated time, disk state and
     the report) is identical to the reference path. *)

@@ -1,31 +1,35 @@
-type t = { entries : Pte.t array }
+(* One flag byte per page; the mapping itself is the identity, so the
+   byte is the whole entry. *)
+type t = Bytes.t
 
-let create ~pages =
-  { entries = Array.init pages (fun pfn -> Pte.make ~pfn ~valid:true ~writable:true) }
+let valid_bit = 1
+let writable_bit = 2
 
-let pages t = Array.length t.entries
+let create ~pages = Bytes.make pages (Char.chr (valid_bit lor writable_bit))
 
-let entries t = t.entries
+let pages = Bytes.length
 
-let lookup t ~vpn =
-  if vpn >= 0 && vpn < Array.length t.entries then Some t.entries.(vpn) else None
+let flags t = t
 
-let set_valid t ~vpn v =
-  match lookup t ~vpn with
-  | Some pte -> pte.Pte.valid <- v
-  | None -> invalid_arg "Page_table.set_valid: vpn out of range"
+let in_range t vpn = vpn >= 0 && vpn < Bytes.length t
 
-let set_writable t ~vpn w =
-  match lookup t ~vpn with
-  | Some pte -> pte.Pte.writable <- w
-  | None -> invalid_arg "Page_table.set_writable: vpn out of range"
+let get t vpn = Char.code (Bytes.unsafe_get t vpn)
 
-let is_writable t ~vpn =
-  match lookup t ~vpn with
-  | Some pte -> pte.Pte.valid && pte.Pte.writable
-  | None -> false
+let update name t ~vpn bit on =
+  if not (in_range t vpn) then invalid_arg (name ^ ": vpn out of range");
+  let f = get t vpn in
+  Bytes.unsafe_set t vpn (Char.unsafe_chr (if on then f lor bit else f land lnot bit))
+
+let set_valid t ~vpn v = update "Page_table.set_valid" t ~vpn valid_bit v
+let set_writable t ~vpn w = update "Page_table.set_writable" t ~vpn writable_bit w
+
+let both = valid_bit lor writable_bit
+
+let is_writable t ~vpn = in_range t vpn && get t vpn land both = both
 
 let protected_count t =
-  Array.fold_left
-    (fun acc (pte : Pte.t) -> if pte.valid && not pte.writable then acc + 1 else acc)
-    0 t.entries
+  let n = ref 0 in
+  for vpn = 0 to Bytes.length t - 1 do
+    if get t vpn land both = valid_bit then incr n
+  done;
+  !n

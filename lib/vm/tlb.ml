@@ -1,7 +1,5 @@
-type slot = { mutable vpn : int } (* -1 = empty *)
-
 type t = {
-  slots : slot array;
+  slots : int array; (* cached vpn per slot; -1 = empty *)
   mask : int;
   mutable hits : int;
   mutable misses : int;
@@ -11,30 +9,24 @@ type t = {
 let create ~entries =
   if entries <= 0 || entries land (entries - 1) <> 0 then
     invalid_arg "Tlb.create: entries must be a positive power of two";
-  {
-    slots = Array.init entries (fun _ -> { vpn = -1 });
-    mask = entries - 1;
-    hits = 0;
-    misses = 0;
-    shootdowns = 0;
-  }
+  { slots = Array.make entries (-1); mask = entries - 1; hits = 0; misses = 0; shootdowns = 0 }
 
-let access t ~vpn _pte =
-  let slot = t.slots.(vpn land t.mask) in
-  if slot.vpn = vpn then t.hits <- t.hits + 1
+let access t ~vpn =
+  let i = vpn land t.mask in
+  if Array.unsafe_get t.slots i = vpn then t.hits <- t.hits + 1
   else begin
     t.misses <- t.misses + 1;
-    slot.vpn <- vpn
+    Array.unsafe_set t.slots i vpn
   end
 
 let shootdown t ~vpn =
-  let slot = t.slots.(vpn land t.mask) in
-  if slot.vpn = vpn then begin
-    slot.vpn <- -1;
+  let i = vpn land t.mask in
+  if t.slots.(i) = vpn then begin
+    t.slots.(i) <- -1;
     t.shootdowns <- t.shootdowns + 1
   end
 
-let flush t = Array.iter (fun s -> s.vpn <- -1) t.slots
+let flush t = Array.fill t.slots 0 (Array.length t.slots) (-1)
 
 let hits t = t.hits
 let misses t = t.misses
@@ -55,11 +47,11 @@ type checkpoint = {
 }
 
 let checkpoint t =
-  { ck_vpns = Array.map (fun s -> s.vpn) t.slots;
+  { ck_vpns = Array.copy t.slots;
     ck_hits = t.hits; ck_misses = t.misses; ck_shootdowns = t.shootdowns }
 
 let restore t ck =
-  Array.iteri (fun i s -> s.vpn <- ck.ck_vpns.(i)) t.slots;
+  Array.blit ck.ck_vpns 0 t.slots 0 (Array.length t.slots);
   t.hits <- ck.ck_hits;
   t.misses <- ck.ck_misses;
   t.shootdowns <- ck.ck_shootdowns

@@ -290,6 +290,9 @@ module Gen = struct
         Hashtbl.replace t.files path (Bytes.cat (find t path) (Pattern.fill ~seed ~len))
       | Overwrite { path; offset; seed; len } ->
         let b = Bytes.copy (find t path) in
+        (* Generated overwrites stay inside the file; a shrunk program that
+           dropped the op which grew it references bytes the model lacks. *)
+        if offset < 0 || len < 0 || offset + len > Bytes.length b then raise Not_found;
         Bytes.blit (Pattern.fill ~seed ~len) 0 b offset len;
         Hashtbl.replace t.files path b
       | Mkdir path -> t.dirs <- t.dirs @ [ path ]

@@ -147,7 +147,8 @@ module Gen : sig
 
     val apply : t -> op -> unit
     (** Raises [Not_found] when the op references a file the model does not
-        have — how the shrinker detects an invalid sub-program. *)
+        have, or an overwrite reaches past the end of its file — how the
+        shrinker detects an invalid sub-program. *)
 
     val after : root:string -> op list -> t
 

@@ -169,9 +169,55 @@ let test_invariant_after_crash () =
 let test_invariant_after_zeros () =
   let _, d = fresh () in
   Disk.write_sync d ~sector:60 (sector_of_string "full");
-  Disk.write_zeros_sync d ~sector:60 ~count:4;
+  Disk.write_sync d ~sector:66 (sector_of_string "kept apart");
+  (* Sectors 60 and 62-63 known zero; 61 and 64 from the (garbage-filled)
+     buffer, which is never read at the known-zero sectors. *)
+  let data = Bytes.make (5 * Disk.sector_bytes) 'G' in
+  Bytes.fill data (4 * Disk.sector_bytes) Disk.sector_bytes '\000';
+  Disk.write_sync_sparse d ~sector:60 ~count:5 ~granule:1
+    ~known_zero:(fun i -> i = 0 || i = 2 || i = 3)
+    data;
   Disk.check_invariant d;
-  check Alcotest.bytes "zeroed" (Bytes.make Disk.sector_bytes '\000') (Disk.peek d ~sector:60)
+  let zero = Bytes.make Disk.sector_bytes '\000' in
+  check Alcotest.bytes "known-zero sector zeroed" zero (Disk.peek d ~sector:60);
+  check Alcotest.bytes "buffer sector written" (Bytes.make Disk.sector_bytes 'G')
+    (Disk.peek d ~sector:61);
+  check Alcotest.bytes "zero buffer sector stores nothing" zero (Disk.peek d ~sector:64);
+  check Alcotest.bytes "outside the request untouched" (sector_of_string "kept apart")
+    (Disk.peek d ~sector:66)
+
+(* Granules of 3 sectors over a 7-sector request (the last granule is
+   short): the middle one known zero. Contents, clock and statistics come
+   out as a plain write_sync of the same bytes leaves them. *)
+let test_sparse_write_matches_write_sync () =
+  let data = Bytes.init (7 * Disk.sector_bytes) (fun i -> Char.chr (1 + (i mod 200))) in
+  Bytes.fill data (3 * Disk.sector_bytes) (3 * Disk.sector_bytes) '\000';
+  let e1, d1 = fresh () and e2, d2 = fresh () in
+  List.iter (fun d -> Disk.write_sync d ~sector:203 (sector_of_string "stale")) [ d1; d2 ];
+  Disk.write_sync d1 ~sector:200 data;
+  let sparse = Bytes.copy data in
+  Bytes.fill sparse (3 * Disk.sector_bytes) (3 * Disk.sector_bytes) 'X';
+  Disk.write_sync_sparse d2 ~sector:200 ~count:7 ~granule:3 ~known_zero:(fun g -> g = 1) sparse;
+  for s = 198 to 209 do
+    check Alcotest.bytes (Printf.sprintf "sector %d" s) (Disk.peek d1 ~sector:s) (Disk.peek d2 ~sector:s)
+  done;
+  check Alcotest.int "same clock" (Engine.now e1) (Engine.now e2);
+  check Alcotest.bool "same stats" true (Disk.stats d1 = Disk.stats d2);
+  Disk.check_invariant d2
+
+(* An empty buffer is a zero-sector request: it is scheduled and counted
+   like any sync write, and leaves the store alone. *)
+let test_empty_write_sync () =
+  let engine, d = fresh () in
+  Disk.write_sync d ~sector:100 (sector_of_string "kept");
+  let t0 = Engine.now engine and s0 = Disk.stats d in
+  Disk.write_sync d ~sector:100 Bytes.empty;
+  let s1 = Disk.stats d in
+  check Alcotest.bool "request takes disk time" true (Engine.now engine > t0);
+  check Alcotest.int "one more write" (s0.Disk.writes + 1) s1.Disk.writes;
+  check Alcotest.int "no sectors written" s0.Disk.sectors_written s1.Disk.sectors_written;
+  check Alcotest.bytes "sector untouched" (sector_of_string "kept") (Disk.peek d ~sector:100);
+  Disk.check_invariant d
 
 let test_invariant_after_restore () =
   let engine, d = fresh () in
@@ -227,7 +273,9 @@ let () =
         [
           Alcotest.test_case "after poke (incl. all-zero)" `Quick test_invariant_after_poke;
           Alcotest.test_case "after crash tear" `Quick test_invariant_after_crash;
-          Alcotest.test_case "after write_zeros_sync" `Quick test_invariant_after_zeros;
+          Alcotest.test_case "after sparse write_sync" `Quick test_invariant_after_zeros;
+          Alcotest.test_case "sparse write = write_sync" `Quick test_sparse_write_matches_write_sync;
+          Alcotest.test_case "empty write_sync" `Quick test_empty_write_sync;
           Alcotest.test_case "after checkpoint/restore" `Quick test_invariant_after_restore;
           Alcotest.test_case "checkpoint refuses queued writes" `Quick
             test_checkpoint_refuses_queued;

@@ -86,6 +86,38 @@ let test_overlapping_snapshots () =
   Phys_mem.restore mem snap1;
   check Alcotest.bool "outer restore" true (Bytes.equal (Phys_mem.dump mem) at1)
 
+(* The template loop: one kept snapshot rewound by restore_keep round
+   after round, with a crash capture taken and consumed inside each round.
+   Every page first written after a rewind (or after the capture) must be
+   saved again, even one already saved in an earlier round. *)
+let test_restore_keep_rounds () =
+  let rng = Random.State.make [| 11 |] in
+  let mem = Phys_mem.create ~bytes_total:(8 * Phys_mem.page_size) in
+  for _ = 1 to 30 do
+    random_mutation rng mem
+  done;
+  let template = Phys_mem.snapshot mem in
+  let at_template = Phys_mem.dump mem in
+  for round = 1 to 5 do
+    for _ = 1 to 20 do
+      random_mutation rng mem
+    done;
+    let capture = Phys_mem.snapshot mem in
+    let at_capture = Phys_mem.dump mem in
+    for _ = 1 to 20 do
+      random_mutation rng mem
+    done;
+    Phys_mem.restore mem capture;
+    check Alcotest.bool (Printf.sprintf "round %d: capture restored" round) true
+      (Bytes.equal (Phys_mem.dump mem) at_capture);
+    for _ = 1 to 20 do
+      random_mutation rng mem
+    done;
+    ignore (Phys_mem.restore_keep mem template : int);
+    check Alcotest.bool (Printf.sprintf "round %d: template restored" round) true
+      (Bytes.equal (Phys_mem.dump mem) at_template)
+  done
+
 (* ---------------- dirty bitmap ---------------- *)
 
 let test_dirty_bitmap () =
@@ -330,6 +362,8 @@ let () =
         [
           Alcotest.test_case "COW snapshot = dump/restore" `Quick test_snapshot_equals_dump;
           Alcotest.test_case "overlapping snapshots" `Quick test_overlapping_snapshots;
+          Alcotest.test_case "restore_keep rounds with a capture inside" `Quick
+            test_restore_keep_rounds;
         ] );
       ("dirty", [ Alcotest.test_case "dirty bitmap semantics" `Quick test_dirty_bitmap ]);
       ( "decode-cache",

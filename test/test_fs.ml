@@ -281,6 +281,43 @@ let test_statfs () =
       check Alcotest.int "blocks returned" before.Fs.blocks_free freed.Fs.blocks_free;
       check Alcotest.int "inode returned" before.Fs.inodes_free freed.Fs.inodes_free)
 
+(* Mount seeds its free counters, and statfs recounts, sector by sector
+   with a popcount. Against a bit-by-bit count of random bitmap contents,
+   on geometries whose inode and block counts are rarely multiples of 8
+   and may span several bitmap sectors: the bits past the count in the
+   last sector are garbage and must be ignored. *)
+let prop_bitmap_free_count =
+  QCheck.Test.make ~name:"sector-wise free count = per-bit count" ~count:40
+    QCheck.(triple (int_range 64 9000) (int_range 0 20_000) small_nat)
+    (fun (inode_count, spare, seed) ->
+      let env = make_env () in
+      let sectors = Disk.capacity_sectors env.disk - spare in
+      Fs.mkfs ~disk:env.disk
+        { Fs.total_sectors = sectors; inode_count; swap_sectors = 16; journal_sectors = 16 };
+      let sb = Ondisk.read_superblock (Disk.peek env.disk ~sector:Ondisk.superblock_sector) in
+      let prng = Random.State.make [| seed |] in
+      let scribble ~start ~sectors =
+        for s = start to start + sectors - 1 do
+          Disk.poke env.disk ~sector:s
+            (Bytes.init Disk.sector_bytes (fun _ -> Char.chr (Random.State.int prng 256)))
+        done
+      in
+      scribble ~start:sb.Ondisk.ibitmap_start ~sectors:sb.Ondisk.ibitmap_sectors;
+      scribble ~start:sb.Ondisk.bbitmap_start ~sectors:sb.Ondisk.bbitmap_sectors;
+      let per_bit ~start n =
+        let free = ref 0 in
+        for i = 0 to n - 1 do
+          let sector = Disk.peek env.disk ~sector:(start + (i / 4096)) in
+          if Char.code (Bytes.get sector (i / 8 mod 512)) land (1 lsl (i mod 8)) = 0 then
+            incr free
+        done;
+        !free
+      in
+      let expect_inodes = per_bit ~start:sb.Ondisk.ibitmap_start sb.Ondisk.inode_count in
+      let expect_blocks = per_bit ~start:sb.Ondisk.bbitmap_start sb.Ondisk.data_blocks in
+      let st = Fs.statfs (mount env Fs.Rio_policy) in
+      st.Fs.inodes_free = expect_inodes && st.Fs.blocks_free = expect_blocks)
+
 (* ---------------- symlinks ---------------- *)
 
 let test_symlink_follow () =
@@ -688,6 +725,41 @@ let test_cache_note_map_hook () =
   ignore (Block_cache.get cache ~blkno:9 ~owner:Fs_types.Meta ~fill:Block_cache.Zero);
   check (Alcotest.list Alcotest.int) "announced" [ 9 ] !mapped
 
+(* A synchronous write-back advances the engine, so an update-daemon pass
+   due meanwhile runs nested inside flush_dirty and cleans every dirty
+   block, including ones outside the outer flush's [only] filter and ones
+   the outer flush has yet to reach. The outer flush must skip the latter
+   (no second write) and leave the dirty count exact: the old count
+   assertion (dirty before - flushed) failed here. *)
+let test_cache_flush_survives_nested_flush () =
+  let env, cache = cache_fixture () in
+  let entries =
+    List.map
+      (fun blkno ->
+        let e = Block_cache.get cache ~blkno ~owner:Fs_types.Meta ~fill:Block_cache.Zero in
+        Block_cache.mark_dirty cache e;
+        e)
+      [ 1; 2; 3; 4 ]
+  in
+  let nested = ref (-1) in
+  ignore
+    (Engine.schedule_at env.engine ~time:(Engine.now env.engine + 1) (fun _ ->
+         nested := Block_cache.flush_dirty cache ~sync:false ())
+      : Engine.handle);
+  let outer =
+    Block_cache.flush_dirty cache ~sync:true
+      ~only:(fun (e : Block_cache.entry) -> e.Block_cache.blkno <= 2)
+      ()
+  in
+  (* Block 1's write was in flight when the nested pass ran, so the
+     nested pass wrote it too; block 2 was already clean at its turn. *)
+  check Alcotest.int "nested pass cleaned everything" 4 !nested;
+  check Alcotest.int "outer flush wrote only block 1" 1 outer;
+  check Alcotest.int "block 2 not written twice" 5 (Block_cache.stats cache).Block_cache.writebacks;
+  check Alcotest.int "dirty count exact" 0 (Block_cache.dirty_count cache);
+  check Alcotest.bool "all clean" true
+    (List.for_all (fun (e : Block_cache.entry) -> not e.Block_cache.dirty) entries)
+
 (* ---------------- journal ---------------- *)
 
 let test_journal_replay () =
@@ -871,7 +943,7 @@ let () =
           Alcotest.test_case "stat" `Quick test_stat;
           Alcotest.test_case "many files per dir" `Quick test_many_files_in_dir;
         ] );
-      ("statfs", [ Alcotest.test_case "accounting" `Quick test_statfs ]);
+      ("statfs", [ Alcotest.test_case "accounting" `Quick test_statfs; qtest prop_bitmap_free_count ]);
       ( "symlinks",
         [
           Alcotest.test_case "follow" `Quick test_symlink_follow;
@@ -919,6 +991,8 @@ let () =
           Alcotest.test_case "LRU prefers clean" `Quick test_cache_lru_eviction_prefers_clean;
           Alcotest.test_case "pinned never evicted" `Quick test_cache_pinned_never_evicted;
           Alcotest.test_case "note_map hook" `Quick test_cache_note_map_hook;
+          Alcotest.test_case "flush survives a nested flush" `Quick
+            test_cache_flush_survives_nested_flush;
         ] );
       ( "journal",
         [

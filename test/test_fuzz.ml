@@ -63,6 +63,17 @@ let test_gen_covers_op_kinds () =
     (fun tag -> check Alcotest.bool "op kind generated" true (seen tag))
     [ `Creat; `Append; `Overwrite; `Mkdir; `Unlink; `Rename; `Vista ]
 
+(* Shrinking can drop the append that grew a file and keep a later
+   overwrite of the grown range: the model must reject that sub-program
+   (Not_found, like an op on a missing file), not fail inside a blit. *)
+let test_model_rejects_overwrite_past_eof () =
+  let creat = Gen.Creat { path = "/fuzz/f"; seed = 1; len = 10 } in
+  let grow = Gen.Append { path = "/fuzz/f"; seed = 2; len = 10 } in
+  let overwrite = Gen.Overwrite { path = "/fuzz/f"; offset = 8; seed = 3; len = 6 } in
+  ignore (Gen.Model.after ~root:"/fuzz" [ creat; grow; overwrite ] : Gen.Model.t);
+  Alcotest.check_raises "overwrite past EOF is invalid" Not_found (fun () ->
+      ignore (Gen.Model.after ~root:"/fuzz" [ creat; overwrite ] : Gen.Model.t))
+
 (* ---------------- single attempts ---------------- *)
 
 let test_attempt_op_starts () =
@@ -129,6 +140,13 @@ let test_registry_off_caught_and_shrunk () =
   expect_shrunk_catch ~name:"registry-off"
     (Fuzzer.run ~spec:Explorer.registry_off (cfg ~trials:2 ~domains:2 ()))
 
+(* Seed 11004's matrix shrinks a counterexample through candidates that
+   overwrite past the end of a file; the shrinker must discard them as
+   invalid programs and still reach its verdicts. *)
+let test_matrix_seed_11004_shrinks () =
+  let entries = Fuzzer.run_matrix (cfg ~seed:11004 ~trials:40 ~domains:1 ()) in
+  check Alcotest.bool "every verdict ok" true (Fuzzer.matrix_ok entries)
+
 let () =
   Alcotest.run "rio_fuzz"
     [
@@ -138,6 +156,8 @@ let () =
           Alcotest.test_case "programs valid by construction" `Quick
             test_gen_programs_are_valid;
           Alcotest.test_case "covers all op kinds" `Quick test_gen_covers_op_kinds;
+          Alcotest.test_case "model rejects overwrite past EOF" `Quick
+            test_model_rejects_overwrite_past_eof;
         ] );
       ( "attempt",
         [ Alcotest.test_case "op_starts attribution" `Quick test_attempt_op_starts ] );
@@ -150,5 +170,7 @@ let () =
             test_shadow_off_caught_and_shrunk;
           Alcotest.test_case "registry-off caught and shrunk" `Slow
             test_registry_off_caught_and_shrunk;
+          Alcotest.test_case "matrix seed 11004 shrinks past invalid candidates" `Slow
+            test_matrix_seed_11004_shrinks;
         ] );
     ]

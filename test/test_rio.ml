@@ -187,6 +187,35 @@ let prop_registry_parse_never_crashes =
           && e.Registry.home_paddr mod Phys_mem.page_size = 0)
         parsed.Registry.entries)
 
+(* The word-wise scan straight from snapshot pages must agree with the
+   byte-wise scan of the full image: garbage anywhere in the region
+   (including slots that straddle a page boundary), and writes after the
+   snapshot that the scan must not see. *)
+let prop_registry_parse_snapshot_matches_image =
+  QCheck.Test.make ~name:"parse_snapshot = parse_image" ~count:100
+    QCheck.(
+      pair
+        (list (triple (int_range 0 100_000) (int_range 0 255) bool))
+        (list (pair (int_range 0 100_000) (int_range 0 255))))
+    (fun (writes, later) ->
+      let mem, layout, reg = registry_fixture () in
+      let region = Layout.region layout Layout.Registry in
+      Registry.register reg ~home_paddr:8192 ~dev:1 ~ino:5 ~offset:0 ~size:8192 ~blkno:10
+        ~kind:Registry.Data_buffer ~checksum:9;
+      let poke (off, v) =
+        if off < region.Layout.bytes then Phys_mem.write_u8 mem (region.Layout.base + off) v
+      in
+      (* Half the garbage is a plausible kind byte, so some slots decode. *)
+      List.iter
+        (fun (off, v, kind) -> poke (off, v); if kind then poke ((off / 40 * 40) + 34, 2))
+        writes;
+      let image = Phys_mem.dump mem in
+      let snap = Phys_mem.snapshot mem in
+      List.iter poke later;
+      let from_snap = Registry.parse_snapshot ~mem ~snap ~region in
+      Phys_mem.release mem snap;
+      from_snap = Registry.parse_image ~image ~region ~mem_bytes:(Bytes.length image))
+
 (* ---------------- protection ---------------- *)
 
 let test_protect_disabled_is_noop () =
@@ -380,6 +409,34 @@ let test_warm_reboot_detects_corruption () =
   check Alcotest.bool "checksums flag the damage" true
     (report.Warm_reboot.data_verify.Warm_reboot.mismatched > 0)
 
+(* A bit flip that zeroes a metadata slot's size field leaves the entry
+   plausible (size 0 is allowed), so recovery writes a zero-byte buffer to
+   its block. The reboot must go through, on both paths, and write as
+   many metadata entries as it would have without the flip. *)
+let test_warm_reboot_meta_size_zero () =
+  List.iter
+    (fun fast ->
+      Rio_util.Fastpath.set fast;
+      Fun.protect ~finally:(fun () -> Rio_util.Fastpath.set true) @@ fun () ->
+      let zeroed = ref 0 in
+      let report, _, _ =
+        warm_reboot_cycle ~protection:true ~mutate_after_capture:(fun kernel ->
+            let mem = Kernel.mem kernel in
+            let region = Layout.region (Kernel.layout kernel) Layout.Registry in
+            for slot = 0 to (region.Layout.bytes / Registry.entry_bytes) - 1 do
+              let base = region.Layout.base + (slot * Registry.entry_bytes) in
+              if Phys_mem.read_u8 mem (base + 34) = 1 then begin
+                Phys_mem.write_u32 mem (base + 24) 0;
+                incr zeroed
+              end
+            done)
+      in
+      let intact, _, _ = warm_reboot_cycle ~protection:true ~mutate_after_capture:ignore in
+      check Alcotest.bool "some metadata slots zeroed" true (!zeroed > 0);
+      check Alcotest.int "as many metadata entries written as without the flip"
+        intact.Warm_reboot.meta_restored report.Warm_reboot.meta_restored)
+    [ true; false ]
+
 let test_warm_reboot_dump_written_to_swap () =
   let engine, kernel, _, fs = rio_system ~protection:false () in
   Fs.write_file fs "/x" (Bytes.of_string "dumped");
@@ -409,6 +466,48 @@ let test_warm_reboot_dump_truncation_reported () =
   check Alcotest.int "dump fills the swap" swap_bytes dumped;
   check Alcotest.int "overflow accounted" 4096 truncated
 
+(* The fast path's dump copies only the pages a snapshot cannot prove
+   zero; every swap sector, the disk statistics and the clock must come out
+   as the full-image dump leaves them. The machine gets a 128 KB dump chunk
+   that mixes zero and non-zero pages, and writes after the snapshot (one
+   COW-saving a non-zero page, one dirtying a zero page) that the dump must
+   not see. *)
+let test_warm_reboot_sparse_dump_matches_image () =
+  let build () =
+    let engine, kernel, _, fs = rio_system ~protection:false () in
+    Fs.write_file fs "/x" (Pattern.fill ~seed:4 ~len:20_000);
+    (match Kernel.fs kernel with Some f -> Fs.crash f | None -> ());
+    let mem = Kernel.mem kernel in
+    (* The last chunk of memory: pages 1 and 5 non-zero, the rest zero. *)
+    let chunk = Phys_mem.size mem - (128 * 1024) in
+    Phys_mem.write_u64 mem (chunk + Phys_mem.page_size + 24) 0x5A5A;
+    Phys_mem.write_u8 mem (chunk + (5 * Phys_mem.page_size) + 8191) 7;
+    (engine, Kernel.disk kernel, mem, chunk)
+  in
+  let e1, d1, m1, _ = build () in
+  let e2, d2, m2, chunk = build () in
+  check Alcotest.bool "twin machines" true (Bytes.equal (Phys_mem.dump m1) (Phys_mem.dump m2));
+  let image = Warm_reboot.capture m1 in
+  let r1 = Warm_reboot.dump_to_swap ~disk:d1 ~image in
+  let snap = Phys_mem.snapshot m2 in
+  let pfn = chunk / Phys_mem.page_size in
+  check Alcotest.(list bool) "chunk mixes zero and non-zero pages"
+    [ true; false; true; true; true; false; true ]
+    (List.init 7 (fun k -> Phys_mem.snap_page_is_zero m2 snap (pfn + k)));
+  Phys_mem.write_u8 m2 (chunk + Phys_mem.page_size) 0xFF;
+  Phys_mem.write_u8 m2 (chunk + (3 * Phys_mem.page_size)) 0xFF;
+  let r2 = Warm_reboot.dump_snapshot_to_swap ~disk:d2 ~mem:m2 ~snap in
+  Phys_mem.release m2 snap;
+  check Alcotest.(pair int int) "same dumped/truncated" r1 r2;
+  check Alcotest.int "same clock" (Engine.now e1) (Engine.now e2);
+  check Alcotest.bool "same disk stats" true (Rio_disk.Disk.stats d1 = Rio_disk.Disk.stats d2);
+  let sb = Rio_fs.Ondisk.read_superblock (Rio_disk.Disk.peek d1 ~sector:0) in
+  for s = sb.Rio_fs.Ondisk.swap_start to sb.Rio_fs.Ondisk.swap_start + sb.Rio_fs.Ondisk.swap_sectors - 1 do
+    if not (Bytes.equal (Rio_disk.Disk.peek d1 ~sector:s) (Rio_disk.Disk.peek d2 ~sector:s)) then
+      Alcotest.failf "swap sector %d differs" s
+  done;
+  Rio_disk.Disk.check_invariant d2
+
 let () =
   Alcotest.run "rio_core"
     [
@@ -423,6 +522,7 @@ let () =
           Alcotest.test_case "plausible checks dev" `Quick test_registry_plausible_checks_dev;
           Alcotest.test_case "parse rejects garbage" `Quick test_registry_parse_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_registry_parse_never_crashes;
+          QCheck_alcotest.to_alcotest prop_registry_parse_snapshot_matches_image;
         ] );
       ( "protect",
         [
@@ -448,8 +548,11 @@ let () =
         [
           Alcotest.test_case "recovers everything" `Quick test_warm_reboot_recovers_everything;
           Alcotest.test_case "detects corruption" `Quick test_warm_reboot_detects_corruption;
+          Alcotest.test_case "meta slot of size 0" `Quick test_warm_reboot_meta_size_zero;
           Alcotest.test_case "dump to swap" `Quick test_warm_reboot_dump_written_to_swap;
           Alcotest.test_case "dump truncation reported" `Quick
             test_warm_reboot_dump_truncation_reported;
+          Alcotest.test_case "page-granular dump = full-image dump" `Quick
+            test_warm_reboot_sparse_dump_matches_image;
         ] );
     ]
